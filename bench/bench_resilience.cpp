@@ -1,7 +1,7 @@
 // Resilience overhead sweep (DESIGN.md "Resilience" + §12), two parts:
 //
-//   1. checkpoint interval vs injected failure rate for the run_resilient
-//      driver: attempts, recoveries, wall time, overhead over the
+//   1. checkpoint interval vs injected failure rate for run_guarded's
+//      re-run rung: attempts, recoveries, wall time, overhead over the
 //      fault-free run, and MTTR (overhead amortised over recoveries);
 //   2. checkpoint-store mode A/B on the step path: the per-write cost of
 //      RestartSeries::write under (a) synchronous full-copy generations
@@ -24,7 +24,7 @@
 #include "chem/mechanisms.hpp"
 #include "resilience/fault.hpp"
 #include "solver/checkpoint.hpp"
-#include "solver/resilient.hpp"
+#include "solver/health.hpp"
 #include "solver/solver.hpp"
 
 namespace sv = s3d::solver;
@@ -135,16 +135,17 @@ Cell run_cell(const sv::Config& cfg, int nsteps, int interval, double p_fail,
                 .probability = p_fail,
                 .max_fires = -1});
 
-  sv::ResilienceConfig rc;
-  rc.dir = dir;
-  rc.checkpoint_every = interval;
-  rc.keep_last = 2;
-  rc.max_attempts = 200;
+  sv::GuardOptions opts;
+  opts.health.enabled = false;  // checkpoint/restart cost only, no scans
+  opts.dir = dir;
+  opts.checkpoint_every = interval;
+  opts.keep_last = 2;
+  opts.max_attempts = 200;
 
   sv::Solver s(cfg);
   Cell cell;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto rep = sv::run_resilient(s, quiescent_init, nsteps, rc);
+  const auto rep = sv::run_guarded(s, quiescent_init, nsteps, opts);
   const auto t1 = std::chrono::steady_clock::now();
   fault::reset();
   fs::remove_all(dir);
@@ -153,7 +154,7 @@ Cell run_cell(const sv::Config& cfg, int nsteps, int interval, double p_fail,
       std::chrono::duration<double, std::milli>(t1 - t0).count();
   cell.attempts = rep.attempts;
   cell.recoveries = rep.recoveries;
-  cell.ok = rep.succeeded;
+  cell.ok = rep.completed;
   return cell;
 }
 

@@ -157,9 +157,9 @@ bool RestartSeries::try_load(long gen, Solver& s, std::string* err) const {
   return store_->try_load(gen, s, err);
 }
 
-long RestartSeries::read_latest(Solver& s,
-                                std::vector<std::string>* skipped) const {
-  return store_->restore_latest(s, skipped);
+long RestartSeries::read_latest(Solver& s, std::vector<std::string>* skipped,
+                                long max_gen) const {
+  return store_->restore_latest(s, skipped, max_gen);
 }
 
 void RestartSeries::drain() const { store_->drain(); }

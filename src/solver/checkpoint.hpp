@@ -9,6 +9,7 @@
 //         traces the workflow's plot stage consumes);
 //   (iii) min/max ASCII files -- per-variable extrema for the dashboard.
 
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -72,11 +73,12 @@ class RestartSeries {
   /// when the file is missing, corrupt, or mismatched.
   bool try_load(long gen, Solver& s, std::string* err = nullptr) const;
 
-  /// Load the newest generation that validates; returns its number, or
-  /// -1 when no valid generation exists. Skipped generations are
-  /// reported through `skipped` ("gen N: reason") when provided.
-  long read_latest(Solver& s, std::vector<std::string>* skipped = nullptr)
-      const;
+  /// Load the newest generation at or below `max_gen` that validates;
+  /// returns its number, or -1 when no such generation exists. Skipped
+  /// generations are reported through `skipped` ("gen N: reason") when
+  /// provided.
+  long read_latest(Solver& s, std::vector<std::string>* skipped = nullptr,
+                   long max_gen = std::numeric_limits<long>::max()) const;
 
   /// Block until queued write-behind persists have settled (no-op when
   /// synchronous).

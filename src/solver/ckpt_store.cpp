@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -585,8 +586,9 @@ void CkptStore::invalidate_cascade_locked(long gen) const {
   }
 }
 
-long CkptStore::newest_valid_locked() const {
-  for (auto it = table_.rbegin(); it != table_.rend(); ++it)
+long CkptStore::newest_valid_locked(long max_gen) const {
+  for (auto it = std::make_reverse_iterator(table_.upper_bound(max_gen));
+       it != table_.rend(); ++it)
     if (it->second.valid) return it->first;
   return -1;
 }
@@ -1004,8 +1006,8 @@ bool CkptStore::try_load(long gen, Solver& s, std::string* err) const {
   }
 }
 
-long CkptStore::restore_latest(Solver& s,
-                               std::vector<std::string>* skipped) const {
+long CkptStore::restore_latest(Solver& s, std::vector<std::string>* skipped,
+                               long max_gen) const {
   drain();
   {
     std::lock_guard<std::mutex> lk(mu_);
@@ -1015,7 +1017,7 @@ long CkptStore::restore_latest(Solver& s,
     long gen = -1;
     {
       std::lock_guard<std::mutex> lk(mu_);
-      gen = newest_valid_locked();
+      gen = newest_valid_locked(max_gen);
     }
     if (gen < 0) return -1;
     std::string err;

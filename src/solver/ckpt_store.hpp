@@ -34,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -201,12 +202,13 @@ class CkptStore {
   /// it — is marked invalid. Drains the persist queue first.
   bool try_load(long gen, Solver& s, std::string* err = nullptr) const;
 
-  /// Load the newest generation that validates: an O(1) table walk picks
-  /// each candidate (invalid entries are skipped without touching disk),
-  /// try_load verifies it. Returns the generation or -1; newly
-  /// discovered failures are reported through `skipped` ("gen N: why").
-  long restore_latest(Solver& s,
-                      std::vector<std::string>* skipped = nullptr) const;
+  /// Load the newest generation at or below `max_gen` that validates: an
+  /// O(1) table walk picks each candidate (invalid entries are skipped
+  /// without touching disk), try_load verifies it. Returns the generation
+  /// or -1; newly discovered failures are reported through `skipped`
+  /// ("gen N: why").
+  long restore_latest(Solver& s, std::vector<std::string>* skipped = nullptr,
+                      long max_gen = std::numeric_limits<long>::max()) const;
 
   /// Block until every queued generation has been persisted (no-op when
   /// synchronous).
@@ -227,7 +229,7 @@ class CkptStore {
   void write_manifest_locked() const;
   std::optional<CkptGen> classify_file(long gen) const;  ///< header peek (no lock)
   void invalidate_cascade_locked(long gen) const;
-  long newest_valid_locked() const;
+  long newest_valid_locked(long max_gen) const;  ///< -1: none
 
   // --- persist path ---
   void enqueue(Task task);

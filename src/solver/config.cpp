@@ -14,6 +14,22 @@ bool finite_positive(double v) { return std::isfinite(v) && v > 0.0; }
 
 }  // namespace
 
+void CkptOptions::validate(const std::string& prefix) const {
+  auto req = [&](bool ok, const char* field, const std::string& why) {
+    if (!ok) throw ConfigError(prefix + "." + field, why);
+  };
+  req(base_every >= 1, "base_every",
+      "base cadence must be >= 1 (1 = every generation a base)");
+  req(block >= 1, "block", "delta block granule must be >= 1 double");
+  req(queue_depth >= 1, "queue_depth",
+      "persist queue must hold at least one generation");
+  req(persist_retries >= 0, "persist_retries", "must be >= 0 (0 = no retry)");
+  req(std::isfinite(backoff_ms) && backoff_ms >= 0.0, "backoff_ms",
+      "must be finite and >= 0");
+  req(std::isfinite(backoff_cap_ms) && backoff_cap_ms >= backoff_ms,
+      "backoff_cap_ms", "must be finite and >= backoff_ms");
+}
+
 void AdaptiveOptions::validate(const std::string& prefix) const {
   auto req = [&](bool ok, const char* field, const std::string& why) {
     if (!ok) throw ConfigError(prefix + "." + field, why);
@@ -114,22 +130,6 @@ void Config::validate() const {
           "dlb_imbalance_tol", "DLB imbalance tolerance must be >= 0");
   require(dlb_parcel_cells >= 1, "dlb_parcel_cells",
           "DLB parcels must carry at least one cell");
-
-  require(checkpoint.base_every >= 1, "checkpoint.base_every",
-          "base cadence must be >= 1 (1 = every generation a base)");
-  require(checkpoint.block >= 1, "checkpoint.block",
-          "delta block granule must be >= 1 double");
-  require(checkpoint.queue_depth >= 1, "checkpoint.queue_depth",
-          "persist queue must hold at least one generation");
-  require(checkpoint.persist_retries >= 0, "checkpoint.persist_retries",
-          "must be >= 0 (0 = no retry)");
-  require(std::isfinite(checkpoint.backoff_ms) && checkpoint.backoff_ms >= 0.0,
-          "checkpoint.backoff_ms", "must be finite and >= 0");
-  require(std::isfinite(checkpoint.backoff_cap_ms) &&
-              checkpoint.backoff_cap_ms >= checkpoint.backoff_ms,
-          "checkpoint.backoff_cap_ms", "must be finite and >= backoff_ms");
-
-  adaptive.validate("adaptive");
 }
 
 }  // namespace s3d::solver

@@ -79,7 +79,7 @@ enum class TransportModel {
 
 /// Checkpoint-store policy (DESIGN.md §12): how the unified delta
 /// checkpoint store behind SnapshotRing and RestartSeries encodes and
-/// persists generations.
+/// persists generations. Set per run through GuardOptions::ckpt.
 struct CkptOptions {
   /// Delta generations: a full "base" image every base_every generations
   /// with block-level dirty deltas (per-block checksums) in between, so
@@ -92,12 +92,15 @@ struct CkptOptions {
   /// enqueue on the step path and a dedicated persister thread drains
   /// the queue through the retry/backoff policy below. Off (default):
   /// writes are synchronous — fully durable when write() returns, which
-  /// is what the recovery drivers' generation-vote barrier assumes.
+  /// is what the recovery driver's checkpoint barrier assumes.
   bool write_behind = false;
   int queue_depth = 4;      ///< bounded persist queue (enqueue blocks when full)
   int persist_retries = 3;  ///< attempts per generation ("checkpoint.persist")
   double backoff_ms = 1.0;       ///< first-retry delay (real time)
   double backoff_cap_ms = 16.0;  ///< backoff ceiling
+
+  /// Typed ConfigError ("<prefix>.field") for malformed knobs.
+  void validate(const std::string& prefix) const;
 };
 
 /// Per-block adaptive time integration (DESIGN.md §13): a PI error
@@ -110,9 +113,7 @@ struct CkptOptions {
 /// The controller state is reduced collectively (one allreduce over the
 /// block vector) so every rank holds the identical block→dt map bitwise.
 /// Off by default: a disarmed run is bit-identical to the pre-adaptive
-/// stepper. Building with -DS3D_ADAPTIVE=OFF hard-disables the ladder
-/// (the build-noadapt verify lane proves the OFF path matches the
-/// global-halving goldens).
+/// stepper. Set per run through GuardOptions::adaptive.
 struct AdaptiveOptions {
   bool enabled = false;
   /// Cells per axis of one controller block. The tiling is over GLOBAL
@@ -258,16 +259,6 @@ struct Config {
   /// Count prim-boundary clip events into the `health.y_clip` trace
   /// counter (and collect Newton convergence stats each RHS evaluation).
   bool count_y_clips = false;
-
-  /// Checkpoint-store policy for the snapshot ring and restart series
-  /// built from this configuration (run_guarded / run_resilient pass it
-  /// through; ResilienceConfig::store overrides it per driver).
-  CkptOptions checkpoint;
-
-  /// Per-block adaptive time integration policy (DESIGN.md §13) for
-  /// guarded runs of this configuration (GuardOptions::adaptive and
-  /// ResilienceConfig::adaptive override it per driver).
-  AdaptiveOptions adaptive;
 
   /// Check the configuration for malformed values (non-positive grid
   /// dims or lengths, missing/empty mechanism, bad CFL / Fourier /

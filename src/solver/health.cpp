@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <optional>
 
 #include "resilience/fault.hpp"
@@ -421,32 +422,53 @@ void GuardOptions::validate() const {
   require_opt(std::isfinite(dt_fixed) && dt_fixed >= 0.0, "guard.dt_fixed",
               "must be finite and >= 0 (0 = automatic)");
   require_opt(dt_every >= 0, "guard.dt_every", "must be >= 0");
-  if (adaptive) adaptive->validate("guard.adaptive");
+  require_opt(checkpoint_every >= 0, "guard.checkpoint_every",
+              "must be >= 0 (0 = checkpoint at the end only)");
+  require_opt(keep_last >= 1, "guard.keep_last", "must be >= 1");
+  require_opt(max_attempts >= 1, "guard.max_attempts", "must be >= 1");
+  adaptive.validate("guard.adaptive");
+  ckpt.validate("guard.ckpt");
+}
+
+std::vector<long> checkpoint_schedule(long nsteps, int checkpoint_every) {
+  std::vector<long> bounds;
+  if (checkpoint_every > 0)
+    for (long s = checkpoint_every; s < nsteps; s += checkpoint_every)
+      bounds.push_back(s);
+  if (nsteps > 0) bounds.push_back(nsteps);
+  return bounds;
 }
 
 namespace {
 
-/// Collective newest-valid-generation restore from a (per-rank) restart
-/// series: every rank proposes its newest remaining generation, the
-/// decomposition agrees on the smallest proposal, votes on its validity,
-/// and either restores it everywhere or discards it everywhere. Returns
-/// the restored generation, or -1 when any rank runs out.
-long restore_from_series(Solver& s, RestartSeries& series, vmpi::Comm* comm) {
-  if (!comm) return series.read_latest(s);
-  const auto gens = series.generations();  // newest first
-  std::size_t idx = 0;
-  while (true) {
-    const double cand =
-        idx < gens.size() ? static_cast<double>(gens[idx]) : -1.0;
-    const double chosen = comm->allreduce_min(cand);
-    if (chosen < 0.0) return -1;
-    const auto g = static_cast<long>(chosen);
-    while (idx < gens.size() && gens[idx] > g) ++idx;
-    const bool ok =
-        idx < gens.size() && gens[idx] == g && series.try_load(g, s);
-    if (comm->allreduce_min(ok ? 1.0 : 0.0) > 0.5) return g;
-    while (idx < gens.size() && gens[idx] >= g) ++idx;
+/// The restore vote of rung 4 and the re-run rung: every rank loads its
+/// newest generation <= max_gen that validates, the decomposition agrees
+/// on the smallest, and ranks holding a newer one reload at or below it
+/// until every rank holds the same generation. Returns that generation,
+/// or -1 when some rank has none. Newly found bad generations are logged.
+long restore_newest_valid(Solver& s, const RestartSeries& series,
+                          long max_gen, vmpi::Comm* comm,
+                          std::vector<std::string>& log) {
+  const auto load = [&](long bound) {
+    std::vector<std::string> skipped;
+    const long g = series.read_latest(s, &skipped, bound);
+    for (const auto& sk : skipped)
+      log.push_back((comm ? "rank " + std::to_string(comm->rank()) + " "
+                          : std::string()) +
+                    "skipped " + sk);
+    return g;
+  };
+  long gen = load(max_gen);
+  while (comm) {
+    // One reduce yields the smallest and the largest proposal.
+    std::array<double, 2> v{static_cast<double>(gen),
+                            -static_cast<double>(gen)};
+    comm->allreduce_min(v);
+    if (v[0] == -v[1]) break;  // every rank holds the same generation
+    const auto agreed = static_cast<long>(v[0]);
+    if (gen != agreed) gen = load(agreed);
   }
+  return gen;
 }
 
 /// Total cells covered by a segment list (this rank's share of a mask).
@@ -492,35 +514,26 @@ void restore_captured_cells(Solver& s, std::span<const RowRange> segs,
   }
 }
 
-}  // namespace
-
-GuardReport run_guarded(Solver& s, int nsteps, const GuardOptions& opts,
-                        vmpi::Comm* comm) {
-  opts.validate();
-  GuardReport rep;
+/// One checkpoint chunk under the ladder: advance `s` to `target` from a
+/// freshly reset guard (dt estimate, dt scale, ring seed, controller), so
+/// a run restored at a chunk boundary replays the uninterrupted one.
+void guard_chunk(Solver& s, long target, const GuardOptions& opts,
+                 vmpi::Comm* comm, RestartSeries* series, GuardReport& rep) {
   const long start0 = s.steps_taken();
-  const long target = start0 + std::max(nsteps, 0);
   const bool armed = opts.health.enabled;
   const bool rank0 = !comm || comm->rank() == 0;
 
-  // Resolve the adaptive policy: explicit override, else the solver
-  // Config's. The build-noadapt lane compiles the ladder away entirely,
-  // so -DS3D_ADAPTIVE=OFF provably matches the global-halving goldens.
-  AdaptiveOptions ad =
-      opts.adaptive ? *opts.adaptive : s.rhs().config().adaptive;
-#ifdef S3D_ADAPTIVE_OFF
-  ad.enabled = false;
-#endif
+  const AdaptiveOptions& ad = opts.adaptive;
   const bool adaptive = armed && ad.enabled;
 
   HealthSentinel sentinel(s, opts.health, comm);
-  // The ring inherits the run's checkpoint options: delta compression
-  // keeps deep rings affordable, and restores stay bitwise either way.
-  SnapshotRing ring(opts.ring_depth, s.rhs().config().checkpoint);
+  // The ring shares the series' store options: delta compression keeps
+  // deep rings affordable, and restores stay bitwise either way.
+  SnapshotRing ring(opts.ring_depth, opts.ckpt);
   // Plugin accumulators ride every capture from here on (DESIGN.md §15).
   if (opts.sidecar.save || opts.sidecar.load) ring.set_sidecar(opts.sidecar);
   // Seed the ring so even a first-step breach has a rollback point.
-  if (armed && target > start0) ring.capture(s);
+  if (armed) ring.capture(s);
 
   // Controller state: the BlockMap tiles GLOBAL indices and every
   // controller update runs from collectively-reduced inputs, so the
@@ -740,8 +753,9 @@ GuardReport run_guarded(Solver& s, int nsteps, const GuardOptions& opts,
     ev.rung = 3;
     if (!ring.empty()) {
       ring.restore_newest(s);
-    } else if (opts.fallback) {
-      const long gen = restore_from_series(s, *opts.fallback, comm);
+    } else if (series) {
+      const long gen =
+          restore_newest_valid(s, *series, s.steps_taken(), comm, rep.log);
       if (gen < 0)
         throw HealthError(verdict,
                           "snapshot ring and restart series both exhausted");
@@ -756,7 +770,7 @@ GuardReport run_guarded(Solver& s, int nsteps, const GuardOptions& opts,
       ring.capture(s);
     } else {
       throw HealthError(verdict,
-                        "snapshot ring exhausted (no fallback series)");
+                        "snapshot ring exhausted (no restart series)");
     }
     ++retries_here;
     scale *= opts.dt_factor;
@@ -773,11 +787,148 @@ GuardReport run_guarded(Solver& s, int nsteps, const GuardOptions& opts,
     rep.events.push_back(std::move(ev));
   }
 
+  rep.scans += sentinel.scans();
+  rep.dt_scale = scale;
+}
+
+/// The driver-owned restart series (per-rank stem in parallel runs), or
+/// null when no directory is configured.
+std::unique_ptr<RestartSeries> open_series(const GuardOptions& opts,
+                                           vmpi::Comm* comm) {
+  if (opts.dir.empty()) return nullptr;
+  return std::make_unique<RestartSeries>(
+      opts.dir,
+      comm ? opts.stem + ".r" + std::to_string(comm->rank()) : opts.stem,
+      opts.keep_last, opts.ckpt);
+}
+
+/// Advance `s` to `target` total steps, one guard_chunk per checkpoint
+/// interval, writing a generation at every boundary (one chunk when there
+/// is no series).
+void advance(Solver& s, long target, const GuardOptions& opts,
+             vmpi::Comm* comm, RestartSeries* series, GuardReport& rep) {
+  const std::vector<long> bounds =
+      series ? checkpoint_schedule(target, opts.checkpoint_every)
+             : std::vector<long>{target};
+  for (const long b : bounds) {
+    if (b <= s.steps_taken()) continue;
+    guard_chunk(s, b, opts, comm, series, rep);
+    if (!series) continue;
+    series->write(s, s.steps_taken());
+    // With synchronous persistence the barrier makes "generation durable
+    // on every rank" a run-wide event. With write-behind the file may
+    // still be queued here; the restore vote only accepts a generation
+    // that validates on every rank, and a failed attempt drains every
+    // rank's queue (series destructor) before the re-run.
+    if (comm) comm->barrier();
+  }
+  // Settle the final generation so a caller observing success observes
+  // durable files (no-op for synchronous stores).
+  if (series) series->drain();
   rep.completed = true;
   rep.final_steps = s.steps_taken();
-  rep.scans = sentinel.scans();
-  rep.dt_scale = scale;
+}
+
+/// One attempt of the re-run rung on one rank: restore the newest
+/// generation at or below `nsteps` that validates everywhere (or apply
+/// `init` at t = 0), then advance to `nsteps`.
+void run_attempt(Solver& s, const InitFn& init, int nsteps,
+                 const GuardOptions& opts, vmpi::Comm* comm,
+                 GuardReport& rep) {
+  const auto series = open_series(opts, comm);
+  const long gen =
+      series ? restore_newest_valid(s, *series, nsteps, comm, rep.log) : -1;
+  if (gen < 0) s.initialize(init);  // also resets the clock to t = 0
+  if (!comm || comm->rank() == 0)
+    rep.log.push_back(gen >= 0 ? "restored generation " + std::to_string(gen)
+                               : std::string("applied the initial condition"));
+  advance(s, nsteps, opts, comm, series.get(), rep);
+}
+
+/// Fold one attempt's per-rank reports into the run report: every rank's
+/// log lines in rank order, rank 0's ladder accounting.
+void absorb(GuardReport& rep, const std::vector<GuardReport>& ranks) {
+  for (const GuardReport& r : ranks)
+    rep.log.insert(rep.log.end(), r.log.begin(), r.log.end());
+  if (ranks.empty()) return;
+  const GuardReport& r = ranks[0];
+  rep.final_steps = r.final_steps;
+  rep.rollbacks += r.rollbacks;
+  rep.series_restores += r.series_restores;
+  rep.scans += r.scans;
+  rep.dt_scale = r.dt_scale;
+  rep.events.insert(rep.events.end(), r.events.begin(), r.events.end());
+  rep.subcycle_recoveries += r.subcycle_recoveries;
+  rep.local_rollbacks += r.local_rollbacks;
+  rep.subcycle_steps += r.subcycle_steps;
+  rep.executed_cell_steps += r.executed_cell_steps;
+  rep.discarded_cell_steps += r.discarded_cell_steps;
+}
+
+/// The re-run rung, one loop for serial and parallel runs: `attempt`
+/// runs one attempt body, filling one report per rank.
+GuardReport attempt_loop(
+    const GuardOptions& opts,
+    const std::function<void(std::vector<GuardReport>&)>& attempt) {
+  opts.validate();
+  GuardReport rep;
+  for (int a = 1; a <= opts.max_attempts; ++a) {
+    ++rep.attempts;
+    std::vector<GuardReport> ranks;
+    try {
+      attempt(ranks);
+      absorb(rep, ranks);
+      rep.completed = true;
+      return rep;
+    } catch (const std::exception& e) {
+      absorb(rep, ranks);
+      rep.log.push_back("attempt " + std::to_string(a) +
+                        " failed: " + e.what());
+      trace::counter_add("resilience.failures", 1.0);
+      if (a < opts.max_attempts) ++rep.recoveries;
+    }
+  }
+  rep.log.push_back("attempt budget exhausted (" +
+                    std::to_string(opts.max_attempts) + ")");
   return rep;
+}
+
+}  // namespace
+
+GuardReport run_guarded(Solver& s, int nsteps, const GuardOptions& opts,
+                        vmpi::Comm* comm) {
+  opts.validate();
+  GuardReport rep;
+  const auto series = open_series(opts, comm);
+  advance(s, s.steps_taken() + std::max(nsteps, 0), opts, comm, series.get(),
+          rep);
+  return rep;
+}
+
+GuardReport run_guarded(Solver& s, const InitFn& init, int nsteps,
+                        const GuardOptions& opts) {
+  return attempt_loop(opts, [&](std::vector<GuardReport>& ranks) {
+    ranks.resize(1);
+    run_attempt(s, init, nsteps, opts, nullptr, ranks[0]);
+  });
+}
+
+GuardReport run_guarded(const Config& cfg, const InitFn& init, int nsteps,
+                        const GuardOptions& opts, int px, int py, int pz,
+                        const FinalizeFn& finalize) {
+  const int nranks = px * py * pz;
+  return attempt_loop(opts, [&](std::vector<GuardReport>& ranks) {
+    ranks.resize(static_cast<std::size_t>(nranks));
+    vmpi::run(
+        nranks,
+        [&](vmpi::Comm& comm) {
+          Solver s(cfg, comm, px, py, pz);
+          run_attempt(s, init, nsteps, opts, &comm,
+                      ranks[static_cast<std::size_t>(comm.rank())]);
+          if (finalize) finalize(s, comm);
+        },
+        opts.vmpi);
+  });
 }
 
 }  // namespace s3d::solver

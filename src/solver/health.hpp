@@ -1,13 +1,14 @@
 #pragma once
-// Numerical health sentinel with collective rollback-and-retry timestep
-// control (DESIGN.md "Numerical health & recovery").
+// Numerical health sentinel and the recovery driver (DESIGN.md §8, §9,
+// §13).
 //
-// PR 2 made S3D++ survive *external* faults; this subsystem closes the
-// *internal* gap the paper's production S3D handles with error trapping
-// and timestep control: stiff-chemistry blow-ups, Newton non-convergence
-// in the conserved->primitive inversion, NaN/Inf contamination, and CFL
-// violations must not let a terascale allocation integrate garbage or
-// die without a diagnosis.
+// The paper's campaigns survive two kinds of failure: the solver killing
+// itself (stiff-chemistry blow-ups, Newton non-convergence in the
+// conserved->primitive inversion, NaN/Inf contamination, CFL violations)
+// and the machine killing the solver (dead ranks, hung collectives,
+// corrupted checkpoints). Checkpoint/restart is the recovery mechanism
+// for both (sections 5 and 9); this header is that mechanism as one
+// driver.
 //
 // Three pieces:
 //   HealthSentinel  scans the committed state after a step for breaches
@@ -21,29 +22,26 @@
 //   SnapshotRing    an in-memory ring of full state snapshots (conserved
 //                   vector plus the Newton warm-start temperature field,
 //                   clock and step counter) restored bitwise on breach.
-//   run_guarded     the driver: advance under the sentinel; on breach
-//                   recover through the escalation ladder (DESIGN.md
-//                   §13) — with adaptive dt enabled, first subcycle the
-//                   breaching block(s), then roll back only those blocks
-//                   from the delta ring, and only when the localized
-//                   rungs are exhausted fall to the global rungs: roll
-//                   the whole domain back to the newest snapshot (older
-//                   ring entries when retries at one point are
-//                   exhausted, then the PR-2 RestartSeries when the ring
-//                   itself runs dry), shrink dt by a bounded factor, and
-//                   re-advance under a rollback budget. Budget
-//                   exhaustion throws HealthError carrying the final
-//                   HealthReport — never a silent continuation.
+//   run_guarded     the driver: advance under the sentinel and climb the
+//                   escalation ladder on breach — (1) subcycle the
+//                   breaching block, (2) roll back only the widened
+//                   blocks, (3) roll the whole domain back to a ring
+//                   snapshot with dt shrunk, (4) restore the newest
+//                   restart-series generation the driver itself writes
+//                   every checkpoint_every steps — and, at the top, re-run
+//                   after an exception or a rank failure from the newest
+//                   generation that validates on every rank (or from the
+//                   initial condition) under an attempt budget.
 //
 // Determinism contract: scan verdicts derive only from allreduced
-// quantities, snapshots are captured at step-count boundaries, and dt is
-// re-estimated at fixed absolute step counts, so a guarded run recovers
-// at the same points with the same dt schedule on every decomposition —
-// the golden health test asserts bitwise-identical final fields across
-// 1-, 2- and 8-rank runs of the same blow-up.
+// quantities, snapshots are captured at step-count boundaries, dt is
+// re-estimated at fixed step counts, and checkpoint boundaries reset the
+// guard exactly, so a guarded run recovers at the same points with the
+// same dt schedule on every decomposition — and a run recovered from
+// disk is bitwise the run that never failed.
 
 #include <array>
-#include <optional>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -215,13 +213,14 @@ class HealthSentinel {
   long scans_ = 0;
 };
 
-/// Rollback-and-retry policy for run_guarded.
+/// Recovery policy for run_guarded: the ladder's in-memory rungs, the
+/// restart series behind its top rungs, and the re-run attempt budget.
 struct GuardOptions {
   HealthConfig health;
 
   int snapshot_every = 1;  ///< steps between ring captures
   int ring_depth = 2;      ///< snapshots retained in memory
-  int max_rollbacks = 10;  ///< total rollback budget for the whole run
+  int max_rollbacks = 10;  ///< rollback budget per attempt
   /// Retries at one snapshot before rolling back to an older one.
   int retries_per_snapshot = 4;
   double dt_factor = 0.5;  ///< dt scale multiplier applied per rollback
@@ -230,26 +229,33 @@ struct GuardOptions {
   double dt_fixed = 0.0;   ///< fixed base dt when > 0 (else stable_dt())
   int dt_every = 5;        ///< stable-dt re-estimation cadence (steps)
 
-  /// Last-resort restore source once the ring is exhausted (PR-2
-  /// checkpoint series); consulted collectively in parallel runs.
-  RestartSeries* fallback = nullptr;
+  /// Per-block adaptive time integration (DESIGN.md §13). Enabled, the
+  /// driver runs the PI dt controller, proactive stiff-region
+  /// subcycling, and the localized rungs 1-2 of the ladder; disabled
+  /// (the default), a breach goes straight to the global rungs.
+  AdaptiveOptions adaptive;
+  /// Checkpoint-store policy of the snapshot ring and the restart series
+  /// (delta cadence, write-behind persister, retry budget; DESIGN.md §12).
+  CkptOptions ckpt;
 
-  /// Per-block adaptive time integration override (DESIGN.md §13).
-  /// Unset: the solver Config's `adaptive` options apply. When the
-  /// resolved options are enabled, run_guarded drives the PI dt
-  /// controller, proactive stiff-region subcycling, and the breach
-  /// escalation ladder (subcycle → localized rollback → global rollback
-  /// with dt halving → series restore); disabled, behavior is exactly
-  /// the legacy global-halving policy. Builds with -DS3D_ADAPTIVE=OFF
-  /// force-disable it regardless of this setting.
-  std::optional<AdaptiveOptions> adaptive;
+  /// Restart series `dir/stem` (per-rank `stem.r<k>` in parallel runs),
+  /// written every `checkpoint_every` steps and at the end of the run;
+  /// rung 4 and the re-run rung restore from it. Empty: no series — rung
+  /// 4 is unavailable and every re-run starts from the initial condition.
+  std::string dir;
+  std::string stem = "restart";
+  int checkpoint_every = 5;  ///< steps between generations (0: end only)
+  int keep_last = 3;         ///< generations retained per rank
+  /// Attempts of the re-run rung (1 = no re-run). Only the overloads
+  /// taking an InitFn re-run; the single-attempt overload rethrows.
+  int max_attempts = 5;
+  vmpi::RunOptions vmpi;     ///< watchdog options for parallel attempts
 
   /// Plugin-state sidecar (DESIGN.md §15): installed on the guard's
   /// snapshot ring so plugin accumulators (in-situ analyses) are
   /// captured with every clean-state snapshot and restored bitwise on
-  /// global rollbacks. Note the rung-4 RestartSeries fallback carries no
-  /// sidecar: after a series restore the ring is reseeded with the
-  /// plugins' CURRENT state.
+  /// global rollbacks. The restart series carries no sidecar: after a
+  /// series restore the ring is reseeded with the plugins' CURRENT state.
   StateSidecar sidecar;
   /// Invoked after every scanned-clean committed step (and before the
   /// snapshot capture at that step), with the absolute step count. This
@@ -269,10 +275,10 @@ struct HealthEvent {
   HealthReport report;
   long rolled_back_to = -1;  ///< step count restored to
   double dt_scale = 1.0;     ///< dt scale in effect after the rollback
-  bool from_series = false;  ///< restored from the RestartSeries fallback
+  bool from_series = false;  ///< restored from the restart series (rung 4)
   /// Escalation-ladder rung that handled the breach (DESIGN.md §13):
   /// 1 = breaching block(s) subcycled, 2 = widened localized rollback,
-  /// 3 = global rollback with dt scaling, 4 = RestartSeries restore.
+  /// 3 = global rollback with dt scaling, 4 = restart-series restore.
   /// Rungs 1-2 touch only the masked blocks; the global dt is never
   /// scaled by them.
   int rung = 3;
@@ -297,13 +303,50 @@ struct GuardReport {
   /// run has discarded == 0 and executed == nsteps * local cells.
   long executed_cell_steps = 0;
   long discarded_cell_steps = 0;
+
+  // Re-run rung accounting (the overloads taking an InitFn).
+  int attempts = 0;    ///< attempt bodies started (1 = fault-free)
+  int recoveries = 0;  ///< failures absorbed by a re-run
+  /// Human-readable recovery log: generations skipped by the restore
+  /// vote ("rank 2 skipped gen 4: ..."), each attempt's starting point
+  /// ("restored generation 8" / "applied the initial condition"), failed
+  /// attempts.
+  std::vector<std::string> log;
 };
 
-/// Advance `s` by `nsteps` under the sentinel. Pass the communicator the
-/// solver was built with for parallel runs (collective verdicts and
-/// restores); nullptr for serial. Throws HealthError when the rollback
-/// budget, the dt floor, or every restore source is exhausted.
+/// Per-rank hook run inside the successful attempt of a parallel run
+/// (collect checksums, write diagnostics, ...).
+using FinalizeFn = std::function<void(Solver&, vmpi::Comm&)>;
+
+/// Advance `s` by `nsteps` under the ladder (rungs 1-4). Pass the
+/// communicator the solver was built with for parallel runs (collective
+/// verdicts and restores); nullptr for serial. Throws HealthError when
+/// the rollback budget, the dt floor, or every restore source is
+/// exhausted; other faults propagate (no re-run without an InitFn).
 GuardReport run_guarded(Solver& s, int nsteps, const GuardOptions& opts,
                         vmpi::Comm* comm = nullptr);
+
+/// Serial run with the re-run rung: bring `s` to `nsteps` TOTAL steps.
+/// Each attempt restores the newest valid generation at or below
+/// `nsteps` (or applies `init` at t = 0) and advances under the ladder;
+/// an exception escaping the ladder consumes an attempt. Never throws
+/// for absorbed faults: report.completed is false when the attempt
+/// budget is exhausted (the last error is in the log).
+GuardReport run_guarded(Solver& s, const InitFn& init, int nsteps,
+                        const GuardOptions& opts);
+
+/// Parallel run with the re-run rung: the same attempt loop, each
+/// attempt a fresh vmpi::run over a (px, py, pz) decomposition, so a
+/// rank failure or a deadlock is absorbed like any other fault. The
+/// restore vote is collective, so a generation corrupted on one rank
+/// rolls every rank back together. The ladder fields of the report are
+/// rank 0's (verdicts are collective, so its events match every rank's).
+GuardReport run_guarded(const Config& cfg, const InitFn& init, int nsteps,
+                        const GuardOptions& opts, int px, int py, int pz,
+                        const FinalizeFn& finalize = {});
+
+/// The checkpoint boundaries of a run to `nsteps` total steps: each
+/// multiple of `checkpoint_every` below it, then `nsteps`, ascending.
+std::vector<long> checkpoint_schedule(long nsteps, int checkpoint_every);
 
 }  // namespace s3d::solver

@@ -138,8 +138,11 @@ struct AnalysisOptions {
 /// fused consumer pass each due step, runs the collective finish phase,
 /// carries the accumulator sidecar, and emits CSV/JSON. on_step() must
 /// be invoked with the same step count on every rank (it decides the
-/// collective cadence); wire it to GuardOptions::on_clean_step under
-/// run_guarded, or call it from a Solver::run monitor.
+/// collective cadence); under run_guarded wire it to
+/// GuardOptions::on_clean_step and sidecar() to GuardOptions::sidecar, or
+/// call it from a Solver::run monitor. Restores from the driver's restart
+/// series (rung 4, re-runs) carry no sidecar, so steps replayed after one
+/// are sampled again.
 class AnalysisDriver {
  public:
   AnalysisDriver(const solver::CaseSetup& cs, AnalysisOptions opt = {});

@@ -565,19 +565,21 @@ TEST(CkptConfig, MalformedKnobsThrowTypedErrors) {
   auto cfg = small_cfg();
   cfg.validate();
 
-  auto bad = cfg;
-  bad.checkpoint.base_every = 0;
+  // The store knobs live in the driver options and validate with them.
+  sv::GuardOptions bad;
+  bad.validate();
+  bad.ckpt.base_every = 0;
   EXPECT_THROW(bad.validate(), sv::ConfigError);
-  bad = cfg;
-  bad.checkpoint.block = 0;
+  bad = {};
+  bad.ckpt.block = 0;
   EXPECT_THROW(bad.validate(), sv::ConfigError);
-  bad = cfg;
-  bad.checkpoint.queue_depth = 0;
+  bad = {};
+  bad.ckpt.queue_depth = 0;
   EXPECT_THROW(bad.validate(), sv::ConfigError);
-  bad = cfg;
-  bad.checkpoint.persist_retries = -1;
+  bad = {};
+  bad.ckpt.persist_retries = -1;
   EXPECT_THROW(bad.validate(), sv::ConfigError);
-  bad = cfg;
-  bad.checkpoint.backoff_cap_ms = bad.checkpoint.backoff_ms - 1.0;
+  bad = {};
+  bad.ckpt.backoff_cap_ms = bad.ckpt.backoff_ms - 1.0;
   EXPECT_THROW(bad.validate(), sv::ConfigError);
 }

@@ -17,6 +17,7 @@
 #include "chem/mechanisms.hpp"
 #include "solver/config.hpp"
 #include "solver/dt_control.hpp"
+#include "solver/health.hpp"
 
 namespace sv = s3d::solver;
 
@@ -278,9 +279,9 @@ TEST(AdaptiveValidate, AcceptsDefaultsAndRejectsMalformed) {
 }
 
 TEST(AdaptiveValidate, ConfigValidateCoversAdaptiveKnobs) {
-  // The knobs are reachable through Config::validate() with the
-  // "adaptive." prefix, so a malformed production config fails at
-  // solver construction like any other field.
+  // The knobs live in the driver options and are reachable through
+  // GuardOptions::validate() with the "guard.adaptive." prefix, so a
+  // malformed policy fails before the first step like any other field.
   sv::Config cfg;
   cfg.mech = std::make_shared<const s3d::chem::Mechanism>(
       s3d::chem::air_inert());
@@ -290,10 +291,11 @@ TEST(AdaptiveValidate, ConfigValidateCoversAdaptiveKnobs) {
   for (int a = 0; a < 3; ++a)
     for (auto& f : cfg.faces[a]) f.kind = sv::BcKind::periodic;
   EXPECT_NO_THROW(cfg.validate());
-  cfg.adaptive.safety = -1.0;
+  sv::GuardOptions opts;
+  opts.adaptive.safety = -1.0;
   try {
-    cfg.validate();
-    FAIL() << "Config::validate must reject malformed adaptive knobs";
+    opts.validate();
+    FAIL() << "GuardOptions::validate must reject malformed adaptive knobs";
   } catch (const sv::ConfigError& e) {
     EXPECT_NE(std::string(e.what()).find("adaptive.safety"),
               std::string::npos)

@@ -19,7 +19,6 @@
 #include "resilience/fault.hpp"
 #include "solver/checkpoint.hpp"
 #include "solver/health.hpp"
-#include "solver/resilient.hpp"
 #include "solver/solver.hpp"
 #include "trace/trace.hpp"
 #include "vmpi/vmpi.hpp"
@@ -398,6 +397,20 @@ TEST(HealthSentinel, DisarmedSentinelScansNothing) {
   const auto rep = sv::run_guarded(s, 4, opts);
   EXPECT_TRUE(rep.completed);
   EXPECT_EQ(rep.scans, 0);
+
+  // A disarmed guard IS the bare step loop: bitwise Solver::run with the
+  // same dt cadence, including runs long enough to re-estimate dt.
+  for (const int dt_every : {opts.dt_every, 2}) {
+    sv::Solver guarded(small_cfg()), bare(small_cfg());
+    guarded.initialize(wavy_init);
+    bare.initialize(wavy_init);
+    opts.dt_every = dt_every;
+    ASSERT_TRUE(sv::run_guarded(guarded, 11, opts).completed);
+    bare.run(11, {}, dt_every);
+    EXPECT_EQ(state_checksum(guarded), state_checksum(bare))
+        << "disarmed guard diverged from Solver::run at dt_every "
+        << dt_every;
+  }
 }
 
 TEST(HealthSentinel, GuardOptionsValidate) {
@@ -507,31 +520,32 @@ TEST(HealthSentinel, RingExhaustedFallsBackToRestartSeries) {
   TmpDir dir("s3d_health_series");
   FaultSession fs_;
   sv::Solver s(small_cfg());
-  s.initialize(wavy_init);
-  s.run(4);
-  sv::RestartSeries series(dir.str(), "g");
-  series.write(s, s.steps_taken());
 
-  // Two consecutive corruptions with a depth-1 ring and a single retry
-  // per snapshot: the second breach pops the ring empty and must restore
-  // from the series.
-  fault::arm({.site = "solver.health",
-              .kind = fault::Kind::corrupt,
-              .nth = -1,
-              .probability = 1.0,
-              .max_fires = 2});
+  // The driver writes generation 4 at its first checkpoint boundary. Two
+  // consecutive corruptions of step 5 (scans 4 and 5) with a depth-1 ring
+  // and a single retry per snapshot: the second breach pops the ring
+  // empty and must restore from the series.
+  for (const long nth : {4L, 5L})
+    fault::arm({.site = "solver.health",
+                .kind = fault::Kind::corrupt,
+                .nth = nth,
+                .max_fires = 1});
   sv::GuardOptions opts;
   opts.ring_depth = 1;
   opts.retries_per_snapshot = 1;
-  opts.fallback = &series;
-  const auto rep = sv::run_guarded(s, 4, opts);
+  opts.dir = dir.str();
+  opts.stem = "g";
+  opts.checkpoint_every = 4;
+  const auto rep = sv::run_guarded(s, wavy_init, 8, opts);
   EXPECT_TRUE(rep.completed);
+  EXPECT_EQ(rep.attempts, 1);
   EXPECT_EQ(rep.final_steps, 8);
   EXPECT_EQ(rep.rollbacks, 2);
   EXPECT_EQ(rep.series_restores, 1);
   ASSERT_EQ(rep.events.size(), 2u);
   EXPECT_FALSE(rep.events[0].from_series);
   EXPECT_TRUE(rep.events[1].from_series);
+  EXPECT_EQ(rep.events[1].rung, 4);
   EXPECT_EQ(rep.events[1].rolled_back_to, 4);
   EXPECT_TRUE(state_all_finite(s));
 }
@@ -607,14 +621,13 @@ TEST(HealthSentinel, GuardedResilientDriverAbsorbsCorruption) {
               .nth = 4,
               .max_fires = 1});
   sv::Solver s(small_cfg());
-  sv::ResilienceConfig rc;
-  rc.dir = dir.str();
-  rc.checkpoint_every = 3;
-  rc.guard = true;
-  const auto rep = sv::run_resilient(s, wavy_init, 9, rc);
-  EXPECT_TRUE(rep.succeeded);
-  // The sentinel absorbed the corruption in memory: no driver-level
-  // restore-and-retry attempt was consumed.
+  sv::GuardOptions opts;
+  opts.dir = dir.str();
+  opts.checkpoint_every = 3;
+  const auto rep = sv::run_guarded(s, wavy_init, 9, opts);
+  EXPECT_TRUE(rep.completed);
+  // The sentinel absorbed the corruption in memory: no re-run attempt
+  // was consumed.
   EXPECT_EQ(rep.attempts, 1);
   EXPECT_EQ(rep.recoveries, 0);
   EXPECT_EQ(rep.final_steps, 9);

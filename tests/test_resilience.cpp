@@ -1,5 +1,5 @@
 // Resilience tests (DESIGN.md "Resilience"): rotating restart series,
-// the run_resilient recovery drivers (serial and 8-rank parallel, with
+// run_guarded's re-run rung (serial and 8-rank parallel, with
 // bitwise-identical recovered state), deadlock detection with per-rank
 // blocked-site reports, rank-failure propagation, and hardening of the
 // restart/analysis readers against missing, truncated and bit-flipped
@@ -23,7 +23,7 @@
 #include "common/random.hpp"
 #include "resilience/fault.hpp"
 #include "solver/checkpoint.hpp"
-#include "solver/resilient.hpp"
+#include "solver/health.hpp"
 #include "solver/solver.hpp"
 #include "vmpi/vmpi.hpp"
 
@@ -107,6 +107,27 @@ std::uint64_t state_checksum(const sv::Solver& s) {
   const long steps = s.steps_taken();
   h.update_value(steps);
   return h.digest();
+}
+
+/// One rank's interior scattered into a global (v, k, j, i) array, so runs
+/// on different decompositions compare cell by cell.
+void scatter_interior(const sv::Solver& s, std::vector<double>& global) {
+  const auto& l = s.layout();
+  const auto off = s.offset();
+  const std::size_t NX = s.mesh().nx(), NY = s.mesh().ny(),
+                    NZ = s.mesh().nz();
+  for (int v = 0; v < s.state().nv(); ++v)
+    for (int k = 0; k < l.nz; ++k)
+      for (int j = 0; j < l.ny; ++j)
+        for (int i = 0; i < l.nx; ++i)
+          global[((v * NZ + off[2] + k) * NY + off[1] + j) * NX + off[0] +
+                 i] = s.state().at(v, i, j, k);
+}
+
+bool log_has(const std::vector<std::string>& log, const std::string& what) {
+  return std::any_of(log.begin(), log.end(), [&](const std::string& e) {
+    return e.find(what) != std::string::npos;
+  });
 }
 
 void flip_byte(const std::string& path, std::size_t pos) {
@@ -306,28 +327,29 @@ TEST(AnalysisHardening, MutatedFilesNeverLoadSilently) {
 
 TEST(RunResilient, SerialRecoveryIsBitwiseIdentical) {
   auto cfg = small_cfg();
-  sv::ResilienceConfig rc;
-  rc.checkpoint_every = 2;
-  rc.keep_last = 3;
-  rc.max_attempts = 3;
+  sv::GuardOptions opts;
+  opts.health.enabled = false;  // the bare step loop (== Solver::run)
+  opts.checkpoint_every = 2;
+  opts.keep_last = 3;
+  opts.max_attempts = 3;
 
   TmpDir ref_dir("s3dpp_resil_ref");
-  rc.dir = ref_dir.str();
+  opts.dir = ref_dir.str();
   fault::reset();
   sv::Solver ref(cfg);
-  const auto ref_rep = sv::run_resilient(ref, wavy_init, 10, rc);
-  ASSERT_TRUE(ref_rep.succeeded);
+  const auto ref_rep = sv::run_guarded(ref, wavy_init, 10, opts);
+  ASSERT_TRUE(ref_rep.completed);
   EXPECT_EQ(ref_rep.attempts, 1);
   EXPECT_EQ(ref_rep.final_steps, 10);
 
   // Kill step 7 (call index 6): after generation 6 lands, mid chunk 6->8.
   TmpDir dir("s3dpp_resil_run");
-  rc.dir = dir.str();
+  opts.dir = dir.str();
   FaultSession fsess(11);
   fault::arm({.site = "solver.step", .kind = fault::Kind::fail, .nth = 6});
   sv::Solver s(cfg);
-  const auto rep = sv::run_resilient(s, wavy_init, 10, rc);
-  ASSERT_TRUE(rep.succeeded) << (rep.events.empty() ? "" : rep.events.back());
+  const auto rep = sv::run_guarded(s, wavy_init, 10, opts);
+  ASSERT_TRUE(rep.completed) << (rep.log.empty() ? "" : rep.log.back());
   EXPECT_EQ(rep.attempts, 2);
   EXPECT_EQ(rep.recoveries, 1);
   EXPECT_EQ(fault::fires_at("solver.step"), 1);
@@ -340,31 +362,32 @@ TEST(RunResilient, SerialRecoveryIsBitwiseIdentical) {
 
 TEST(RunResilient, SerialRecoverySkipsCorruptedGeneration) {
   auto cfg = small_cfg();
-  sv::ResilienceConfig rc;
-  rc.checkpoint_every = 2;
-  rc.max_attempts = 3;
+  sv::GuardOptions opts;
+  opts.health.enabled = false;  // the bare step loop (== Solver::run)
+  opts.checkpoint_every = 2;
+  opts.max_attempts = 3;
 
   TmpDir ref_dir("s3dpp_resil_cref");
-  rc.dir = ref_dir.str();
+  opts.dir = ref_dir.str();
   fault::reset();
   sv::Solver ref(cfg);
-  ASSERT_TRUE(sv::run_resilient(ref, wavy_init, 10, rc).succeeded);
+  ASSERT_TRUE(sv::run_guarded(ref, wavy_init, 10, opts).completed);
 
   // Generation 4 (checkpoint.write call 1) lands corrupted; step 6 (call
   // index 5, mid chunk 4->6) dies. Recovery must reject gen 4 and roll
   // back to gen 2.
   TmpDir dir("s3dpp_resil_crun");
-  rc.dir = dir.str();
+  opts.dir = dir.str();
   FaultSession fsess(12);
   fault::arm(
       {.site = "checkpoint.write", .kind = fault::Kind::corrupt, .nth = 1});
   fault::arm({.site = "solver.step", .kind = fault::Kind::fail, .nth = 5});
   sv::Solver s(cfg);
-  const auto rep = sv::run_resilient(s, wavy_init, 10, rc);
-  ASSERT_TRUE(rep.succeeded) << (rep.events.empty() ? "" : rep.events.back());
+  const auto rep = sv::run_guarded(s, wavy_init, 10, opts);
+  ASSERT_TRUE(rep.completed) << (rep.log.empty() ? "" : rep.log.back());
   EXPECT_EQ(rep.recoveries, 1);
   bool saw_skip = false;
-  for (const auto& e : rep.events)
+  for (const auto& e : rep.log)
     if (e.find("skipped") != std::string::npos &&
         e.find("gen 4") != std::string::npos)
       saw_skip = true;
@@ -375,10 +398,11 @@ TEST(RunResilient, SerialRecoverySkipsCorruptedGeneration) {
 TEST(RunResilient, ExhaustedBudgetReportsFailure) {
   auto cfg = small_cfg();
   TmpDir dir("s3dpp_resil_budget");
-  sv::ResilienceConfig rc;
-  rc.dir = dir.str();
-  rc.checkpoint_every = 2;
-  rc.max_attempts = 2;
+  sv::GuardOptions opts;
+  opts.health.enabled = false;  // the bare step loop (== Solver::run)
+  opts.dir = dir.str();
+  opts.checkpoint_every = 2;
+  opts.max_attempts = 2;
 
   FaultSession fsess(13);
   // Every step fails, forever: the budget must bound the retries.
@@ -388,11 +412,11 @@ TEST(RunResilient, ExhaustedBudgetReportsFailure) {
               .probability = 1.0,
               .max_fires = -1});
   sv::Solver s(cfg);
-  const auto rep = sv::run_resilient(s, wavy_init, 10, rc);
-  EXPECT_FALSE(rep.succeeded);
+  const auto rep = sv::run_guarded(s, wavy_init, 10, opts);
+  EXPECT_FALSE(rep.completed);
   EXPECT_EQ(rep.attempts, 2);
-  ASSERT_FALSE(rep.events.empty());
-  EXPECT_NE(rep.events.back().find("attempt budget exhausted"),
+  ASSERT_FALSE(rep.log.empty());
+  EXPECT_NE(rep.log.back().find("attempt budget exhausted"),
             std::string::npos);
 }
 
@@ -401,32 +425,33 @@ TEST(RunResilient, WriteBehindRecoveryIsBitwiseIdentical) {
   // semantics: same fault schedule as SerialRecoveryIsBitwiseIdentical,
   // but generations are block deltas persisted off the step path.
   auto cfg = small_cfg();
-  sv::ResilienceConfig rc;
-  rc.checkpoint_every = 2;
-  rc.keep_last = 3;
-  rc.max_attempts = 3;
+  sv::GuardOptions opts;
+  opts.health.enabled = false;  // the bare step loop (== Solver::run)
+  opts.checkpoint_every = 2;
+  opts.keep_last = 3;
+  opts.max_attempts = 3;
   sv::CkptOptions wb;
   wb.delta = true;
   wb.base_every = 3;
   wb.write_behind = true;
   wb.queue_depth = 2;
-  rc.store = wb;
+  opts.ckpt = wb;
 
   TmpDir ref_dir("s3dpp_resil_wbref");
-  rc.dir = ref_dir.str();
+  opts.dir = ref_dir.str();
   fault::reset();
   sv::Solver ref(cfg);
-  const auto ref_rep = sv::run_resilient(ref, wavy_init, 10, rc);
-  ASSERT_TRUE(ref_rep.succeeded);
+  const auto ref_rep = sv::run_guarded(ref, wavy_init, 10, opts);
+  ASSERT_TRUE(ref_rep.completed);
   EXPECT_EQ(ref_rep.attempts, 1);
 
   TmpDir dir("s3dpp_resil_wbrun");
-  rc.dir = dir.str();
+  opts.dir = dir.str();
   FaultSession fsess(11);
   fault::arm({.site = "solver.step", .kind = fault::Kind::fail, .nth = 6});
   sv::Solver s(cfg);
-  const auto rep = sv::run_resilient(s, wavy_init, 10, rc);
-  ASSERT_TRUE(rep.succeeded) << (rep.events.empty() ? "" : rep.events.back());
+  const auto rep = sv::run_guarded(s, wavy_init, 10, opts);
+  ASSERT_TRUE(rep.completed) << (rep.log.empty() ? "" : rep.log.back());
   EXPECT_EQ(rep.attempts, 2);
   EXPECT_EQ(rep.recoveries, 1);
 
@@ -442,10 +467,11 @@ TEST(RunResilient, KillMidPersistRecoversFromPriorGeneration) {
   // silently, O(1), no skipped-generation event -- restore gen 2, and
   // finish bitwise identical to the fault-free run.
   auto cfg = small_cfg();
-  sv::ResilienceConfig rc;
-  rc.checkpoint_every = 2;
-  rc.keep_last = 3;
-  rc.max_attempts = 3;
+  sv::GuardOptions opts;
+  opts.health.enabled = false;  // the bare step loop (== Solver::run)
+  opts.checkpoint_every = 2;
+  opts.keep_last = 3;
+  opts.max_attempts = 3;
   sv::CkptOptions wb;
   wb.delta = true;
   wb.base_every = 2;
@@ -453,16 +479,16 @@ TEST(RunResilient, KillMidPersistRecoversFromPriorGeneration) {
   wb.persist_retries = 0;
   wb.backoff_ms = 0.01;
   wb.backoff_cap_ms = 0.02;
-  rc.store = wb;
+  opts.ckpt = wb;
 
   TmpDir ref_dir("s3dpp_resil_kpref");
-  rc.dir = ref_dir.str();
+  opts.dir = ref_dir.str();
   fault::reset();
   sv::Solver ref(cfg);
-  ASSERT_TRUE(sv::run_resilient(ref, wavy_init, 10, rc).succeeded);
+  ASSERT_TRUE(sv::run_guarded(ref, wavy_init, 10, opts).completed);
 
   TmpDir dir("s3dpp_resil_kprun");
-  rc.dir = dir.str();
+  opts.dir = dir.str();
   FaultSession fsess(14);
   // Persist call 1 = generation 4 (call 0 persisted gen 2); step call 5
   // = step 6, mid chunk 4->6, so the newest table entry at recovery time
@@ -473,14 +499,14 @@ TEST(RunResilient, KillMidPersistRecoversFromPriorGeneration) {
               .max_fires = 1});
   fault::arm({.site = "solver.step", .kind = fault::Kind::fail, .nth = 5});
   sv::Solver s(cfg);
-  const auto rep = sv::run_resilient(s, wavy_init, 10, rc);
-  ASSERT_TRUE(rep.succeeded) << (rep.events.empty() ? "" : rep.events.back());
+  const auto rep = sv::run_guarded(s, wavy_init, 10, opts);
+  ASSERT_TRUE(rep.completed) << (rep.log.empty() ? "" : rep.log.back());
   EXPECT_EQ(rep.recoveries, 1);
   EXPECT_EQ(fault::fires_at("checkpoint.persist"), 1);
   EXPECT_EQ(fault::fires_at("solver.step"), 1);
 
   bool restored2 = false;
-  for (const auto& e : rep.events) {
+  for (const auto& e : rep.log) {
     EXPECT_EQ(e.find("skipped"), std::string::npos)
         << "validity-bit skip should be silent, got: " << e;
     if (e.find("restored generation 2") != std::string::npos) restored2 = true;
@@ -492,13 +518,15 @@ TEST(RunResilient, KillMidPersistRecoversFromPriorGeneration) {
 TEST(RunResilient, GoldenParallelRecoveryIsBitwiseIdentical) {
   // The acceptance scenario: an 8-rank seeded run with an injected
   // checkpoint corruption on rank 2 and an injected rank-1 failure must
-  // recover through run_resilient with final per-rank field checksums
+  // recover through run_guarded's re-run rung with final per-rank field
+  // checksums
   // bitwise identical to the fault-free run.
   auto cfg = cube_cfg();
-  sv::ResilienceConfig rc;
-  rc.checkpoint_every = 2;
-  rc.keep_last = 3;
-  rc.max_attempts = 4;
+  sv::GuardOptions opts;
+  opts.health.enabled = false;  // the bare step loop (== Solver::run)
+  opts.checkpoint_every = 2;
+  opts.keep_last = 3;
+  opts.max_attempts = 4;
 
   std::vector<std::uint64_t> sums(8, 0);
   const auto finalize = [&sums](sv::Solver& s, vmpi::Comm& comm) {
@@ -506,11 +534,11 @@ TEST(RunResilient, GoldenParallelRecoveryIsBitwiseIdentical) {
   };
 
   TmpDir ref_dir("s3dpp_resil_pref");
-  rc.dir = ref_dir.str();
+  opts.dir = ref_dir.str();
   fault::reset();
   const auto ref_rep =
-      sv::run_resilient(cfg, wavy_init, 10, rc, 2, 2, 2, finalize);
-  ASSERT_TRUE(ref_rep.succeeded);
+      sv::run_guarded(cfg, wavy_init, 10, opts, 2, 2, 2, finalize);
+  ASSERT_TRUE(ref_rep.completed);
   EXPECT_EQ(ref_rep.attempts, 1);
   const auto ref_sums = sums;
 
@@ -518,7 +546,7 @@ TEST(RunResilient, GoldenParallelRecoveryIsBitwiseIdentical) {
   // dies at its step 5 (call index 4), after gen 4 is on disk. Recovery
   // must reject gen 4 collectively and roll every rank back to gen 2.
   TmpDir dir("s3dpp_resil_prun");
-  rc.dir = dir.str();
+  opts.dir = dir.str();
   FaultSession fsess(2026);
   fault::arm({.site = "checkpoint.write",
               .kind = fault::Kind::corrupt,
@@ -530,13 +558,13 @@ TEST(RunResilient, GoldenParallelRecoveryIsBitwiseIdentical) {
               .rank = 1});
   std::fill(sums.begin(), sums.end(), 0);
   const auto rep =
-      sv::run_resilient(cfg, wavy_init, 10, rc, 2, 2, 2, finalize);
-  ASSERT_TRUE(rep.succeeded) << (rep.events.empty() ? "" : rep.events.back());
+      sv::run_guarded(cfg, wavy_init, 10, opts, 2, 2, 2, finalize);
+  ASSERT_TRUE(rep.completed) << (rep.log.empty() ? "" : rep.log.back());
   EXPECT_EQ(rep.recoveries, 1);
   EXPECT_EQ(fault::fires_at("solver.step"), 1);
   EXPECT_EQ(fault::fires_at("checkpoint.write"), 1);
   bool saw_skip = false;
-  for (const auto& e : rep.events)
+  for (const auto& e : rep.log)
     if (e.find("rank 2") != std::string::npos &&
         e.find("gen 4") != std::string::npos)
       saw_skip = true;
@@ -551,9 +579,10 @@ TEST(RunResilient, InjectedIsendFaultIsAbsorbed) {
   // A transient communication failure inside halo exchange surfaces as a
   // thrown InjectedFault on one rank; the driver retries and converges.
   auto cfg = cube_cfg();
-  sv::ResilienceConfig rc;
-  rc.checkpoint_every = 2;
-  rc.max_attempts = 4;
+  sv::GuardOptions opts;
+  opts.health.enabled = false;  // the bare step loop (== Solver::run)
+  opts.checkpoint_every = 2;
+  opts.max_attempts = 4;
 
   std::vector<std::uint64_t> sums(8, 0);
   const auto finalize = [&sums](sv::Solver& s, vmpi::Comm& comm) {
@@ -561,27 +590,148 @@ TEST(RunResilient, InjectedIsendFaultIsAbsorbed) {
   };
 
   TmpDir ref_dir("s3dpp_resil_iref");
-  rc.dir = ref_dir.str();
+  opts.dir = ref_dir.str();
   fault::reset();
   ASSERT_TRUE(
-      sv::run_resilient(cfg, wavy_init, 6, rc, 2, 2, 2, finalize).succeeded);
+      sv::run_guarded(cfg, wavy_init, 6, opts, 2, 2, 2, finalize).completed);
   const auto ref_sums = sums;
 
   TmpDir dir("s3dpp_resil_irun");
-  rc.dir = dir.str();
+  opts.dir = dir.str();
   FaultSession fsess(31);
   fault::arm({.site = "vmpi.isend",
               .kind = fault::Kind::fail,
               .nth = 40,
               .rank = 3});
   std::fill(sums.begin(), sums.end(), 0);
-  const auto rep = sv::run_resilient(cfg, wavy_init, 6, rc, 2, 2, 2, finalize);
-  ASSERT_TRUE(rep.succeeded) << (rep.events.empty() ? "" : rep.events.back());
+  const auto rep = sv::run_guarded(cfg, wavy_init, 6, opts, 2, 2, 2, finalize);
+  ASSERT_TRUE(rep.completed) << (rep.log.empty() ? "" : rep.log.back());
   EXPECT_GE(rep.recoveries, 1);
   for (int r = 0; r < 8; ++r) EXPECT_EQ(sums[r], ref_sums[r]) << "rank " << r;
 }
 
+TEST(RecoveryDriver, LadderAndRerunInOneParallelRun) {
+  // Both recovery paths in one 2-rank guarded run. Two corruptions of
+  // step 5 on rank 0 drain a depth-1 ring to rung 4 (the generation the
+  // driver wrote at step 4); then rank 1 dies at step 6, so the run
+  // consumes one re-run attempt, which restores generation 4 on both
+  // ranks with a fresh guard. The final state must be the clean run's.
+  auto cfg = small_cfg();
+  sv::GuardOptions opts;
+  opts.ring_depth = 1;
+  opts.retries_per_snapshot = 1;
+  opts.checkpoint_every = 4;
+  opts.max_attempts = 3;
+
+  std::vector<std::uint64_t> sums(2, 0);
+  const auto finalize = [&sums](sv::Solver& s, vmpi::Comm& comm) {
+    sums[comm.rank()] = state_checksum(s);
+  };
+
+  TmpDir ref_dir("s3dpp_both_ref");
+  opts.dir = ref_dir.str();
+  fault::reset();
+  const auto ref_rep =
+      sv::run_guarded(cfg, wavy_init, 12, opts, 2, 1, 1, finalize);
+  ASSERT_TRUE(ref_rep.completed);
+  EXPECT_EQ(ref_rep.attempts, 1);
+  EXPECT_EQ(ref_rep.rollbacks, 0);
+  const auto ref_sums = sums;
+
+  TmpDir dir("s3dpp_both_run");
+  opts.dir = dir.str();
+  FaultSession fsess(41);
+  for (const long nth : {4L, 5L})  // scans 4 and 5: step 5, twice
+    fault::arm({.site = "solver.health",
+                .kind = fault::Kind::corrupt,
+                .nth = nth,
+                .rank = 0,
+                .max_fires = 1});
+  // Step calls on rank 1: 0-3 reach step 4, 4-6 are the three tries of
+  // step 5, call 7 is step 6.
+  fault::arm({.site = "solver.step",
+              .kind = fault::Kind::fail,
+              .nth = 7,
+              .rank = 1});
+  std::fill(sums.begin(), sums.end(), 0);
+  const auto rep = sv::run_guarded(cfg, wavy_init, 12, opts, 2, 1, 1, finalize);
+  ASSERT_TRUE(rep.completed) << (rep.log.empty() ? "" : rep.log.back());
+  EXPECT_EQ(rep.attempts, 2);
+  EXPECT_EQ(rep.recoveries, 1);
+  EXPECT_EQ(rep.rollbacks, 2);
+  EXPECT_EQ(rep.series_restores, 1);
+  ASSERT_EQ(rep.events.size(), 2u);
+  EXPECT_EQ(rep.events[0].rung, 3);
+  EXPECT_EQ(rep.events[1].rung, 4);
+  EXPECT_EQ(rep.events[1].rolled_back_to, 4);
+  EXPECT_EQ(fault::fires_at("solver.health"), 2);
+  EXPECT_EQ(fault::fires_at("solver.step"), 1);
+  EXPECT_TRUE(log_has(rep.log, "restored generation 4"));
+  EXPECT_EQ(rep.final_steps, 12);
+  for (int r = 0; r < 2; ++r)
+    EXPECT_EQ(sums[r], ref_sums[r])
+        << "rank " << r << " state diverged after recovery";
+}
+
 #endif  // S3D_FAULTS_DISABLED
+
+TEST(RecoveryDriver, ResumePastTargetStopsAtTarget) {
+  // A directory holding a longer run (generations 4, 8, 12) must not
+  // carry a 10-step request past step 10: the serial and the 2-rank
+  // driver both restore generation 8, finish the last chunk, and land
+  // bitwise on a clean 10-step run — and on each other.
+  auto cfg = small_cfg();
+  sv::GuardOptions opts;
+  opts.checkpoint_every = 4;
+  const std::size_t npts = static_cast<std::size_t>(
+      sv::n_conserved(cfg.mech->n_species()) * cfg.x.n * cfg.y.n * cfg.z.n);
+
+  TmpDir ref_dir("s3dpp_resume_ref"), dir("s3dpp_resume_run");
+  opts.dir = ref_dir.str();
+  sv::Solver ref(cfg);
+  ASSERT_TRUE(sv::run_guarded(ref, wavy_init, 10, opts).completed);
+  opts.dir = dir.str();
+  {
+    sv::Solver longer(cfg);
+    ASSERT_TRUE(sv::run_guarded(longer, wavy_init, 12, opts).completed);
+  }
+  sv::Solver s(cfg);
+  const auto rep = sv::run_guarded(s, wavy_init, 10, opts);
+  ASSERT_TRUE(rep.completed);
+  EXPECT_EQ(rep.final_steps, 10);
+  EXPECT_EQ(s.steps_taken(), 10);
+  EXPECT_TRUE(log_has(rep.log, "restored generation 8"));
+  EXPECT_EQ(state_checksum(s), state_checksum(ref));
+  std::vector<double> serial(npts);
+  scatter_interior(s, serial);
+
+  std::vector<std::uint64_t> sums(2, 0);
+  std::vector<int> steps(2, 0);
+  std::vector<double> global(npts);
+  const auto finalize = [&](sv::Solver& ps, vmpi::Comm& comm) {
+    sums[comm.rank()] = state_checksum(ps);
+    steps[comm.rank()] = ps.steps_taken();
+    scatter_interior(ps, global);
+  };
+  TmpDir pref_dir("s3dpp_resume_pref"), pdir("s3dpp_resume_prun");
+  opts.dir = pref_dir.str();
+  ASSERT_TRUE(
+      sv::run_guarded(cfg, wavy_init, 10, opts, 2, 1, 1, finalize).completed);
+  const auto ref_sums = sums;
+  opts.dir = pdir.str();
+  ASSERT_TRUE(sv::run_guarded(cfg, wavy_init, 12, opts, 2, 1, 1).completed);
+  std::fill(global.begin(), global.end(), 0.0);
+  const auto prep = sv::run_guarded(cfg, wavy_init, 10, opts, 2, 1, 1, finalize);
+  ASSERT_TRUE(prep.completed);
+  EXPECT_EQ(prep.final_steps, 10);
+  EXPECT_TRUE(log_has(prep.log, "restored generation 8"));
+  for (int r = 0; r < 2; ++r) {
+    EXPECT_EQ(steps[r], 10) << "rank " << r;
+    EXPECT_EQ(sums[r], ref_sums[r]) << "rank " << r;
+  }
+  EXPECT_TRUE(global == serial)
+      << "2-rank resume diverged from the serial resume";
+}
 
 TEST(Watchdog, DeadlockReportNamesEveryBlockedSite) {
   // Rank 0 waits on a message rank 1 never sends while everyone else sits
